@@ -9,6 +9,7 @@
 #include "bench_util.hpp"
 #include "core/parallel.hpp"
 #include "graph/characterization.hpp"
+#include "support/reference_checkers.hpp"
 #include "workload/generator.hpp"
 
 namespace sia {

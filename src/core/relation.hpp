@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +71,13 @@ class Relation {
   /// Calls \p fn for every successor b with (a, b) in the relation,
   /// in increasing order of b.
   void for_successors(TxnId a, const std::function<void(TxnId)>& fn) const;
+
+  /// Successor row of \p a as packed words: bit b % 64 of word b / 64 is
+  /// set iff (a, b) is in the relation. Lets callers combine rows of
+  /// several relations word by word without materialising their union.
+  [[nodiscard]] std::span<const std::uint64_t> row_words(TxnId a) const {
+    return {row(a), words_};
+  }
 
   /// Successors of \p a as a vector (increasing order).
   [[nodiscard]] std::vector<TxnId> successors(TxnId a) const;

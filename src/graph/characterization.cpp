@@ -1,6 +1,9 @@
 #include "graph/characterization.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <deque>
+#include <span>
 
 #include "graph/cycles.hpp"
 
@@ -8,29 +11,160 @@ namespace sia {
 
 namespace {
 
+constexpr std::size_t kWordBits = 64;
+
 bool is_dep_kind(DepKind k) {
   return k == DepKind::kSO || k == DepKind::kWR || k == DepKind::kWW;
 }
+bool is_rw_kind(DepKind k) { return k == DepKind::kRW; }
+bool is_any_kind(DepKind) { return true; }
 
 /// Picks a concrete typed edge from \p a to \p b whose kind satisfies
-/// \p pred. The caller guarantees one exists (it came from a relation).
+/// \p pred, the first such in the graph's edge listing order. The caller
+/// guarantees one exists (it came from a relation).
 DepEdge pick_edge(const DependencyGraph& g, TxnId a, TxnId b,
                   bool (*pred)(DepKind)) {
-  for (const DepEdge& e : g.edges_between(a, b)) {
-    if (pred(e.kind)) return e;
-  }
+  if (const std::optional<DepEdge> e = g.first_edge(a, b, pred)) return *e;
   throw ModelError("pick_edge: no concrete edge T" + std::to_string(a) +
                    " -> T" + std::to_string(b) +
                    " matches the relation edge (internal error)");
 }
 
-void expand_d_path(const DependencyGraph& g, const Relation& d, TxnId from,
-                   TxnId to, std::vector<DepEdge>& out) {
-  if (d.contains(from, to)) {
+/// Smallest set bit of \p row at or after \p from; row.size() * 64 if none.
+std::size_t next_bit(std::span<const std::uint64_t> row, std::size_t from) {
+  std::size_t w = from / kWordBits;
+  if (w >= row.size()) return row.size() * kWordBits;
+  std::uint64_t word = row[w] & (~std::uint64_t{0} << (from % kWordBits));
+  while (word == 0) {
+    if (++w == row.size()) return row.size() * kWordBits;
+    word = row[w];
+  }
+  return w * kWordBits + static_cast<std::size_t>(std::countr_zero(word));
+}
+
+/// Smallest element of \p row satisfying \p pred.
+template <typename Pred>
+std::optional<TxnId> first_where(std::span<const std::uint64_t> row,
+                                 Pred pred) {
+  const std::size_t end = row.size() * kWordBits;
+  for (std::size_t b = next_bit(row, 0); b < end; b = next_bit(row, b + 1)) {
+    if (pred(static_cast<TxnId>(b))) return static_cast<TxnId>(b);
+  }
+  return std::nullopt;
+}
+
+// D = SO ∪ WR ∪ WW is read row by row from the DepRelations and never
+// materialised.
+
+bool d_contains(const DepRelations& rel, TxnId a, TxnId b) {
+  return rel.so.contains(a, b) || rel.wr.contains(a, b) ||
+         rel.ww.contains(a, b);
+}
+
+void d_row(const DepRelations& rel, TxnId u, std::span<std::uint64_t> out) {
+  const auto so = rel.so.row_words(u);
+  const auto wr = rel.wr.row_words(u);
+  const auto ww = rel.ww.row_words(u);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = so[i] | wr[i] | ww[i];
+}
+
+/// Relation::find_cycle over a relation given row by row: \p fill(u, row)
+/// writes u's successor row. The traversal is the same — roots in
+/// ascending order, successors in ascending order, stop at the first back
+/// edge — so the cycle is the same. A row is built when its node is first
+/// visited and lives only while the node is on the DFS stack.
+template <typename Fill>
+std::optional<std::vector<TxnId>> find_cycle_by_rows(std::size_t n,
+                                                     Fill fill) {
+  const std::size_t words = (n + kWordBits - 1) / kWordBits;
+  enum : std::uint8_t { kWhite, kGray, kBlack };
+  std::vector<std::uint8_t> color(n, kWhite);
+  std::vector<TxnId> stack;
+  std::vector<std::size_t> cursor;  // next successor bit, per stack frame
+  std::vector<std::uint64_t> rows;  // one row per stack frame
+  const auto row_at = [&](std::size_t depth) {
+    return std::span<std::uint64_t>(rows.data() + depth * words, words);
+  };
+  const auto push = [&](TxnId u) {
+    color[u] = kGray;
+    stack.push_back(u);
+    cursor.push_back(0);
+    if (rows.size() < stack.size() * words) rows.resize(stack.size() * words);
+    fill(u, row_at(stack.size() - 1));
+  };
+  for (TxnId start = 0; start < n; ++start) {
+    if (color[start] != kWhite) continue;
+    push(start);
+    while (!stack.empty()) {
+      const std::size_t depth = stack.size() - 1;
+      const std::size_t next = next_bit(row_at(depth), cursor[depth]);
+      if (next >= n) {
+        color[stack.back()] = kBlack;
+        stack.pop_back();
+        cursor.pop_back();
+        continue;
+      }
+      cursor[depth] = next + 1;
+      const TxnId v = static_cast<TxnId>(next);
+      if (color[v] == kGray) {
+        // Back edge: the cycle is v ... top of the stack.
+        const auto from = std::find(stack.begin(), stack.end(), v);
+        return std::vector<TxnId>(from, stack.end());
+      }
+      if (color[v] == kWhite) push(v);
+    }
+  }
+  return std::nullopt;
+}
+
+/// Relation::find_path over D without materialising D: BFS with
+/// successors in ascending order, so the same shortest path.
+std::optional<std::vector<TxnId>> find_d_path(const DepRelations& rel,
+                                              TxnId from, TxnId to) {
+  const std::size_t n = rel.so.size();
+  std::vector<TxnId> parent(n, kInvalidTxn);
+  std::vector<bool> visited(n, false);
+  std::vector<std::uint64_t> row((n + kWordBits - 1) / kWordBits);
+  std::deque<TxnId> queue{from};
+  bool found = false;
+  while (!queue.empty() && !found) {
+    const TxnId u = queue.front();
+    queue.pop_front();
+    d_row(rel, u, row);
+    for (std::size_t b = next_bit(row, 0); b < n; b = next_bit(row, b + 1)) {
+      const TxnId v = static_cast<TxnId>(b);
+      if (v == to) {
+        parent[v] = u;
+        found = true;
+        break;
+      }
+      if (!visited[v]) {
+        visited[v] = true;
+        parent[v] = u;
+        queue.push_back(v);
+      }
+    }
+  }
+  if (!found) return std::nullopt;
+  std::vector<TxnId> path{to};
+  for (TxnId cur = parent[to]; cur != kInvalidTxn && cur != from;
+       cur = parent[cur]) {
+    path.push_back(cur);
+  }
+  path.push_back(from);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+/// Appends typed edges of a D+ path from \p from to \p to: the D edge
+/// itself if there is one, otherwise a shortest D path.
+void expand_d_path(const DependencyGraph& g, const DepRelations& rel,
+                   TxnId from, TxnId to, std::vector<DepEdge>& out) {
+  if (d_contains(rel, from, to)) {
     out.push_back(pick_edge(g, from, to, is_dep_kind));
     return;
   }
-  const auto path = d.find_path(from, to);
+  const auto path = find_d_path(rel, from, to);
   if (!path) {
     throw ModelError("expand_d_path: unreachable (internal error)");
   }
@@ -39,40 +173,74 @@ void expand_d_path(const DependencyGraph& g, const Relation& d, TxnId from,
   }
 }
 
-}  // namespace
+ModelError no_decomposition() {
+  return ModelError(
+      "composed edge has no D / RW decomposition (internal error)");
+}
 
-std::vector<DepEdge> expand_composed_cycle(const DependencyGraph& g,
-                                           const DepRelations& rel,
-                                           const std::vector<TxnId>& cycle,
-                                           bool through_dplus) {
-  const Relation d = rel.dependencies();
-  const Relation dplus = through_dplus ? d.transitive_closure() : d;
-  // Predecessor rows of RW, so the intermediate-vertex query below is one
-  // word-parallel row AND instead of an O(n) scan per composed edge.
-  const Relation rw_pred = rel.rw.inverse();
+/// The Theorem 9 witness: the first cycle of C = D ∪ D;RW in
+/// Relation::find_cycle order, as typed edges. C's row of u is built on
+/// visit from D(u) and the RW rows of u's D-successors.
+std::vector<DepEdge> si_witness(const DependencyGraph& g,
+                                const DepRelations& rel) {
+  const auto cycle = find_cycle_by_rows(
+      rel.so.size(), [&rel](TxnId u, std::span<std::uint64_t> row) {
+        d_row(rel, u, row);
+        const auto so = rel.so.row_words(u);
+        const auto wr = rel.wr.row_words(u);
+        const auto ww = rel.ww.row_words(u);
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          for (std::uint64_t d = so[i] | wr[i] | ww[i]; d != 0; d &= d - 1) {
+            const auto w = static_cast<TxnId>(
+                i * kWordBits + static_cast<std::size_t>(std::countr_zero(d)));
+            const auto rw = rel.rw.row_words(w);
+            for (std::size_t j = 0; j < row.size(); ++j) row[j] |= rw[j];
+          }
+        }
+      });
+  if (!cycle) {
+    throw ModelError("check_graph_si: no cycle to witness (internal error)");
+  }
   std::vector<DepEdge> out;
-  for (std::size_t i = 0; i < cycle.size(); ++i) {
-    const TxnId u = cycle[i];
-    const TxnId v = cycle[(i + 1) % cycle.size()];
-    if (dplus.contains(u, v)) {
-      expand_d_path(g, d, u, v, out);
+  std::vector<std::uint64_t> row((rel.so.size() + kWordBits - 1) / kWordBits);
+  for (std::size_t i = 0; i < cycle->size(); ++i) {
+    const TxnId u = (*cycle)[i];
+    const TxnId v = (*cycle)[(i + 1) % cycle->size()];
+    if (d_contains(rel, u, v)) {
+      out.push_back(pick_edge(g, u, v, is_dep_kind));
       continue;
     }
-    // Must be a D(+) ; RW step: the intermediate writer-overtaken
-    // transaction w is the smallest common element of D(+)'s successors of
-    // u and RW's predecessors of v.
-    const std::optional<TxnId> w = dplus.first_common_successor(u, rw_pred, v);
-    if (!w) {
-      throw ModelError(
-          "expand_composed_cycle: composed edge has no decomposition "
-          "(internal error)");
-    }
-    expand_d_path(g, d, u, *w, out);
-    out.push_back(
-        pick_edge(g, *w, v, [](DepKind k) { return k == DepKind::kRW; }));
+    // A D;RW step through the smallest D-successor w of u with RW(w, v).
+    d_row(rel, u, row);
+    const auto w =
+        first_where(row, [&](TxnId c) { return rel.rw.contains(c, v); });
+    if (!w) throw no_decomposition();
+    out.push_back(pick_edge(g, u, *w, is_dep_kind));
+    out.push_back(pick_edge(g, *w, v, is_rw_kind));
   }
   return out;
 }
+
+/// The Theorem 21 witness for the smallest t with (D+ ; RW?)(t, t): a
+/// D-cycle through t, or a D path to the smallest w with D+(t, w) and
+/// RW(w, t), closed by that RW edge.
+std::vector<DepEdge> psi_witness(const DependencyGraph& g,
+                                 const DepRelations& rel,
+                                 const Relation& dplus, TxnId t) {
+  std::vector<DepEdge> out;
+  if (dplus.contains(t, t)) {
+    expand_d_path(g, rel, t, t, out);
+    return out;
+  }
+  const auto w = first_where(dplus.row_words(t),
+                             [&](TxnId c) { return rel.rw.contains(c, t); });
+  if (!w) throw no_decomposition();
+  expand_d_path(g, rel, t, *w, out);
+  out.push_back(pick_edge(g, *w, t, is_rw_kind));
+  return out;
+}
+
+}  // namespace
 
 GraphCheck check_graph_ser(const DependencyGraph& g) {
   return check_graph_ser(g, g.relations());
@@ -84,13 +252,18 @@ GraphCheck check_graph_ser(const DependencyGraph& g, const DepRelations& rel) {
     result.int_violation = std::move(v);
     return result;
   }
-  const Relation full = rel.so | rel.wr | rel.ww | rel.rw;
-  if (const auto cycle = full.find_cycle()) {
+  // SO ∪ WR ∪ WW ∪ RW, one row per visited node.
+  const auto cycle = find_cycle_by_rows(
+      rel.so.size(), [&rel](TxnId u, std::span<std::uint64_t> row) {
+        d_row(rel, u, row);
+        const auto rw = rel.rw.row_words(u);
+        for (std::size_t i = 0; i < row.size(); ++i) row[i] |= rw[i];
+      });
+  if (cycle) {
     for (std::size_t i = 0; i < cycle->size(); ++i) {
       const TxnId u = (*cycle)[i];
       const TxnId v = (*cycle)[(i + 1) % cycle->size()];
-      result.witness.push_back(
-          pick_edge(g, u, v, [](DepKind) { return true; }));
+      result.witness.push_back(pick_edge(g, u, v, is_any_kind));
     }
     return result;
   }
@@ -110,29 +283,9 @@ GraphCheck check_graph_si(const DependencyGraph& g, const DepRelations& rel) {
   }
   if (composed_si_relation_acyclic(rel.so, rel.wr, rel.ww, rel.rw)) {
     result.member = true;
-    return result;
+  } else {
+    result.witness = si_witness(g, rel);
   }
-  // A cycle exists; rebuild it with the materialised reference path so the
-  // witness is the one it has always produced.
-  return check_graph_si_reference(g, rel);
-}
-
-GraphCheck check_graph_si_reference(const DependencyGraph& g,
-                                    const DepRelations& rel) {
-  GraphCheck result;
-  if (auto v = axioms::check_int(g.history())) {
-    result.int_violation = std::move(v);
-    return result;
-  }
-  // (SO ∪ WR ∪ WW) ; RW?  =  D ∪ D ; RW.
-  const Relation d = rel.dependencies();
-  const Relation composed = d | d.compose(rel.rw);
-  if (const auto cycle = composed.find_cycle()) {
-    result.witness =
-        expand_composed_cycle(g, rel, *cycle, /*through_dplus=*/false);
-    return result;
-  }
-  result.member = true;
   return result;
 }
 
@@ -146,30 +299,12 @@ GraphCheck check_graph_psi(const DependencyGraph& g, const DepRelations& rel) {
     result.int_violation = std::move(v);
     return result;
   }
-  if (dplus_rw_irreflexive(rel.so, rel.wr, rel.ww, rel.rw)) {
+  const Relation dplus = dependency_closure(rel.so, rel.wr, rel.ww);
+  if (const std::optional<TxnId> t = first_dplus_rw_reflexive(dplus, rel.rw)) {
+    result.witness = psi_witness(g, rel, dplus, *t);
+  } else {
     result.member = true;
-    return result;
   }
-  return check_graph_psi_reference(g, rel);
-}
-
-GraphCheck check_graph_psi_reference(const DependencyGraph& g,
-                                     const DepRelations& rel) {
-  GraphCheck result;
-  if (auto v = axioms::check_int(g.history())) {
-    result.int_violation = std::move(v);
-    return result;
-  }
-  // (SO ∪ WR ∪ WW)+ ; RW? must be irreflexive.
-  const Relation dplus = rel.dependencies().transitive_closure();
-  const Relation composed = dplus | dplus.compose(rel.rw);
-  for (TxnId t = 0; t < g.txn_count(); ++t) {
-    if (!composed.contains(t, t)) continue;
-    result.witness =
-        expand_composed_cycle(g, rel, {t}, /*through_dplus=*/true);
-    return result;
-  }
-  result.member = true;
   return result;
 }
 

@@ -25,7 +25,8 @@ struct GraphCheck {
   explicit operator bool() const { return member; }
 };
 
-/// GraphSER (Theorem 8): INT ∧ acyclic(SO ∪ WR ∪ WW ∪ RW).
+/// GraphSER (Theorem 8): INT ∧ acyclic(SO ∪ WR ∪ WW ∪ RW). The cycle
+/// search builds the union's row of each node it visits only.
 [[nodiscard]] GraphCheck check_graph_ser(const DependencyGraph& g);
 [[nodiscard]] GraphCheck check_graph_ser(const DependencyGraph& g,
                                          const DepRelations& rel);
@@ -34,34 +35,28 @@ struct GraphCheck {
 /// every cycle of the graph has at least two *adjacent* anti-dependency
 /// edges.
 ///
-/// The membership verdict is decided by the implicit-edge cycle search of
-/// cycles.hpp in O(V + E) adjacency scans; only a failed check (rare, and
-/// on small graphs in practice) falls back to the materialised reference
-/// below to build the witness — so verdicts and witnesses are identical to
-/// check_graph_si_reference on every input, at a fraction of its cost.
+/// The verdict comes from the implicit-edge cycle search of cycles.hpp in
+/// O(V + E) adjacency scans. A failed check then takes the first cycle of
+/// C = D ∪ D;RW (D = SO ∪ WR ∪ WW) in Relation::find_cycle order from a DFS
+/// that builds C's row of each node it visits — D(u) plus the RW rows of
+/// u's D-successors — and never materialises C. Each D;RW step goes
+/// through the smallest D-successor w of u with RW(w, v), and each step
+/// becomes the first matching edge of DependencyGraph::first_edge.
 [[nodiscard]] GraphCheck check_graph_si(const DependencyGraph& g);
 [[nodiscard]] GraphCheck check_graph_si(const DependencyGraph& g,
                                         const DepRelations& rel);
 
-/// Reference implementation of the Theorem 9 check: materialises
-/// D ∪ D;RW with the relation algebra and runs the bitset cycle search.
-/// Kept as the differential-testing and benchmarking baseline.
-[[nodiscard]] GraphCheck check_graph_si_reference(const DependencyGraph& g,
-                                                  const DepRelations& rel);
-
 /// GraphPSI (Theorem 21): INT ∧ irreflexive((SO ∪ WR ∪ WW)+ ; RW?).
 /// Equivalently: every cycle has at least two anti-dependency edges.
 ///
-/// Decided via SCC condensation of D plus DAG reachability propagation
-/// (cycles.hpp), never materialising the O(n³/64) transitive closure on
-/// the membership path; failures fall back to the reference for witnesses.
+/// Decided from D+ built by SCC condensation and reachability propagation
+/// (cycles.hpp, dependency_closure), never by the O(n³/64) Warshall
+/// closure. A failed check witnesses the smallest t with
+/// (D+ ; RW?)(t, t): a shortest D-cycle through t, or a shortest D path
+/// to the smallest w with D+(t, w) ∧ RW(w, t) closed by that RW edge.
 [[nodiscard]] GraphCheck check_graph_psi(const DependencyGraph& g);
 [[nodiscard]] GraphCheck check_graph_psi(const DependencyGraph& g,
                                          const DepRelations& rel);
-
-/// Reference implementation of the Theorem 21 check (materialised D+).
-[[nodiscard]] GraphCheck check_graph_psi_reference(const DependencyGraph& g,
-                                                   const DepRelations& rel);
 
 /// Dynamic robustness criterion against SI (Theorem 19):
 /// G ∈ GraphSI \ GraphSER — the graph exhibits an SI-only anomaly.
@@ -76,11 +71,5 @@ struct RobustnessWitness {
 /// Dynamic robustness criterion against parallel SI towards SI
 /// (Theorem 22): G ∈ GraphPSI \ GraphSI.
 [[nodiscard]] RobustnessWitness psi_anomaly(const DependencyGraph& g);
-
-/// Expands a cycle of the composed relation C = D ∪ D;RW (or D+ ; RW? for
-/// PSI) back into concrete typed edges of \p g. Exposed for testing.
-[[nodiscard]] std::vector<DepEdge> expand_composed_cycle(
-    const DependencyGraph& g, const DepRelations& rel,
-    const std::vector<TxnId>& cycle, bool through_dplus);
 
 }  // namespace sia

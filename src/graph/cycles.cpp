@@ -232,12 +232,12 @@ std::vector<std::vector<TxnId>> merged_d_adjacency(const Relation& so,
   return adj;
 }
 
-/// Iterative Tarjan over \p adj. Returns false on any cycle (a self-loop
-/// or a non-trivial SCC); otherwise fills \p order with every node in SCC
-/// completion order — each node after all of its successors (reverse
-/// topological), the processing order of DAG reachability propagation.
-bool tarjan_trivial_sccs(const std::vector<std::vector<TxnId>>& adj,
-                         std::vector<TxnId>& order) {
+/// Iterative Tarjan over \p adj. Fills \p order with every node, SCC by
+/// SCC in completion order — each SCC after every SCC it reaches (reverse
+/// topological), the processing order of reachability propagation — and
+/// \p comp with each node's SCC id; ids ascend along \p order.
+void tarjan_sccs(const std::vector<std::vector<TxnId>>& adj,
+                 std::vector<TxnId>& order, std::vector<std::uint32_t>& comp) {
   const std::size_t n = adj.size();
   constexpr std::uint32_t kUnvisited = 0xffffffffu;
   std::vector<std::uint32_t> index(n, kUnvisited);
@@ -250,8 +250,10 @@ bool tarjan_trivial_sccs(const std::vector<std::vector<TxnId>>& adj,
   };
   std::vector<Frame> frames;
   std::uint32_t counter = 0;
+  std::uint32_t components = 0;
   order.clear();
   order.reserve(n);
+  comp.assign(n, 0);
 
   for (TxnId root = 0; root < n; ++root) {
     if (index[root] != kUnvisited) continue;
@@ -264,7 +266,6 @@ bool tarjan_trivial_sccs(const std::vector<std::vector<TxnId>>& adj,
       const TxnId u = f.node;
       if (f.next < adj[u].size()) {
         const TxnId v = adj[u][f.next++];
-        if (v == u) return false;  // self-loop
         if (index[v] == kUnvisited) {
           frames.push_back({v, 0});
           index[v] = lowlink[v] = counter++;
@@ -276,11 +277,16 @@ bool tarjan_trivial_sccs(const std::vector<std::vector<TxnId>>& adj,
         continue;
       }
       if (lowlink[u] == index[u]) {
-        // Root of an SCC; more than one member means a D-cycle.
-        if (scc_stack.back() != u) return false;
-        scc_stack.pop_back();
-        on_stack[u] = false;
-        order.push_back(u);
+        // Root of an SCC: pop its members.
+        TxnId member = kInvalidTxn;
+        while (member != u) {
+          member = scc_stack.back();
+          scc_stack.pop_back();
+          on_stack[member] = false;
+          comp[member] = components;
+          order.push_back(member);
+        }
+        ++components;
       }
       frames.pop_back();
       if (!frames.empty()) {
@@ -289,7 +295,6 @@ bool tarjan_trivial_sccs(const std::vector<std::vector<TxnId>>& adj,
       }
     }
   }
-  return true;
 }
 
 }  // namespace
@@ -342,30 +347,68 @@ bool composed_si_relation_acyclic(const Relation& so, const Relation& wr,
   return true;
 }
 
-bool dplus_rw_irreflexive(const Relation& so, const Relation& wr,
-                          const Relation& ww, const Relation& rw) {
+Relation dependency_closure(const Relation& so, const Relation& wr,
+                            const Relation& ww) {
   const std::size_t n = so.size();
   const std::vector<std::vector<TxnId>> d_adj = merged_d_adjacency(so, wr, ww);
   std::vector<TxnId> order;
-  if (!tarjan_trivial_sccs(d_adj, order)) return false;  // diagonal in D+
+  std::vector<std::uint32_t> comp;
+  tarjan_sccs(d_adj, order, comp);
 
-  // D is a DAG; propagate reachability sinks-first: reach(u) = ⋃ over D
-  // successors v of ({v} ∪ reach(v)). One row union per D edge.
+  // SCCs sinks-first: reach(C) = ⋃ over D edges (u, v) leaving C of
+  // ({v} ∪ reach(v)), plus C itself when an edge stays inside C. The row
+  // is built on one member and copied to the others. On a D-DAG every SCC
+  // is one node and this is one row union per D edge.
   Relation reach(n);
-  for (const TxnId u : order) {
-    for (const TxnId v : d_adj[u]) {
-      reach.add(u, v);
-      reach.absorb_row(u, v);
+  for (std::size_t begin = 0; begin < n;) {
+    const TxnId rep = order[begin];
+    std::size_t end = begin + 1;
+    while (end < n && comp[order[end]] == comp[rep]) ++end;
+    bool cyclic = false;
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const TxnId v : d_adj[order[i]]) {
+        if (comp[v] == comp[rep]) {
+          cyclic = true;
+          continue;
+        }
+        reach.add(rep, v);
+        reach.absorb_row(rep, v);
+      }
+    }
+    if (cyclic) {
+      for (std::size_t i = begin; i < end; ++i) reach.add(rep, order[i]);
+    }
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      reach.absorb_row(order[i], rep);
+    }
+    begin = end;
+  }
+  return reach;
+}
+
+std::optional<TxnId> first_dplus_rw_reflexive(const Relation& dplus,
+                                              const Relation& rw) {
+  const std::size_t n = dplus.size();
+  TxnId first = static_cast<TxnId>(n);
+  for (TxnId t = 0; t < n; ++t) {
+    if (dplus.contains(t, t)) {
+      first = t;
+      break;
     }
   }
-  // A violating diagonal entry of D+ ; RW is an RW edge (w, t) with
-  // D+(t, w).
+  // A diagonal entry of D+ ; RW is an RW edge (w, t) with D+(t, w).
   for (TxnId w = 0; w < n; ++w) {
-    bool hit = false;
-    rw.for_successors(w, [&](TxnId t) { hit = hit || reach.contains(t, w); });
-    if (hit) return false;
+    rw.for_successors(w, [&](TxnId t) {
+      if (t < first && dplus.contains(t, w)) first = t;
+    });
   }
-  return true;
+  if (first == n) return std::nullopt;
+  return first;
+}
+
+bool dplus_rw_irreflexive(const Relation& so, const Relation& wr,
+                          const Relation& ww, const Relation& rw) {
+  return !first_dplus_rw_reflexive(dependency_closure(so, wr, ww), rw);
 }
 
 }  // namespace sia

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "graph/dependency_graph.hpp"
@@ -143,15 +144,13 @@ EnumerationStats enumerate_simple_cycles(
 /// positions).
 [[nodiscard]] std::size_t min_rw_count(const TypedCycle& c);
 
-// ----- implicit-edge cycle search (Theorem 9 / 21 fast paths) --------------
+// ----- implicit-edge cycle search (Theorem 9 / 21 checks) -----------------
 //
 // The batch checkers need acyclicity of C = D ∪ D;RW (SI, Theorem 9) and
 // irreflexivity of D+ ; RW? (PSI, Theorem 21) where D = SO ∪ WR ∪ WW.
-// Materialising the composition or the closure costs O(n³/64) bit-matrix
-// work; the predicates themselves are decidable by sparse graph search over
-// the *virtual* relations in O(V + E) adjacency scans. These entry points
-// answer the predicates only — witness extraction, which is off the hot
-// path, stays with the materialised reference implementations.
+// Materialising the composition or the closure by Warshall costs
+// O(n³/64) bit-matrix work; the predicates themselves are decidable by
+// sparse graph search over the *virtual* relations.
 
 /// True iff D ∪ D;RW is acyclic, decided without materialising D or the
 /// composition: iterative DFS over the layered graph with one shadow node
@@ -164,12 +163,23 @@ EnumerationStats enumerate_simple_cycles(
                                                 const Relation& ww,
                                                 const Relation& rw);
 
-/// True iff D+ ; RW? is irreflexive, decided without materialising D+:
-/// Tarjan's SCC condensation of D detects any D-cycle (a non-trivial SCC
-/// or a self-loop puts the diagonal into D+); on a D-DAG, per-node
-/// reachability sets are propagated in reverse topological order (one row
-/// union per D edge, O(E · n/64) total instead of Warshall's O(n³/64)),
-/// and a violation is an RW edge (w, t) with t →+ w in D.
+/// D+ for D = SO ∪ WR ∪ WW, without Warshall: Tarjan's SCC condensation
+/// of D, then successor rows propagated through the SCCs in reverse
+/// topological order — one row union per D edge, O(E · n/64) instead of
+/// O(n³/64). Every member of a cyclic SCC (more than one node, or a
+/// self-loop) reaches every member of its SCC, itself included.
+[[nodiscard]] Relation dependency_closure(const Relation& so,
+                                          const Relation& wr,
+                                          const Relation& ww);
+
+/// Smallest t with (D+ ; RW?)(t, t) — D+(t, t), or RW(w, t) for some w
+/// with D+(t, w) — given \p dplus = D+; nullopt iff D+ ; RW? is
+/// irreflexive. O(n + |RW|) probes.
+[[nodiscard]] std::optional<TxnId> first_dplus_rw_reflexive(
+    const Relation& dplus, const Relation& rw);
+
+/// True iff D+ ; RW? is irreflexive (Theorem 21):
+/// first_dplus_rw_reflexive over dependency_closure.
 [[nodiscard]] bool dplus_rw_irreflexive(const Relation& so,
                                         const Relation& wr,
                                         const Relation& ww,

@@ -171,9 +171,15 @@ DepRelations DependencyGraph::relations() const {
 
 std::vector<DepEdge> DependencyGraph::edges() const {
   std::vector<DepEdge> out;
-  const Relation so = history_.session_order();
-  for (const auto& [a, b] : so.edges())
-    out.push_back({a, b, DepKind::kSO, kInvalidObj});
+  // SO in row-major order: transaction ids grow along each session, so a
+  // transaction's session successors are already ascending.
+  for (TxnId a = 0; a < txn_count(); ++a) {
+    const std::vector<TxnId>& session =
+        history_.session(history_.session_of(a));
+    const std::size_t next = history_.session_index_of(a) + 1;
+    for (std::size_t j = next; j < session.size(); ++j)
+      out.push_back({a, session[j], DepKind::kSO, kInvalidObj});
+  }
 
   for (const auto& [x, sources] : wr_source_) {
     for (const auto& [reader, writer] : sources)
@@ -205,6 +211,45 @@ std::vector<DepEdge> DependencyGraph::edges_between(TxnId a, TxnId b) const {
     if (e.from == a && e.to == b) out.push_back(e);
   }
   return out;
+}
+
+std::optional<DepEdge> DependencyGraph::first_edge(
+    TxnId a, TxnId b, bool (*accept)(DepKind)) const {
+  if (accept(DepKind::kSO) && history_.same_session(a, b) &&
+      history_.session_index_of(a) < history_.session_index_of(b)) {
+    return DepEdge{a, b, DepKind::kSO, kInvalidObj};
+  }
+  // Within one object there is at most one edge a -> b of each kind (up
+  // to repeats in a malformed WW order), so the first match in ascending
+  // object order is the one edges() lists first.
+  if (accept(DepKind::kWR)) {
+    for (const auto& [x, sources] : wr_source_) {
+      const auto it = sources.find(b);
+      if (it != sources.end() && it->second == a) {
+        return DepEdge{a, b, DepKind::kWR, x};
+      }
+    }
+  }
+  // Does b occur in \p order after the first occurrence of \p first?
+  const auto ordered = [b](const std::vector<TxnId>& order, TxnId first) {
+    const auto it = std::find(order.begin(), order.end(), first);
+    return it != order.end() &&
+           std::find(it + 1, order.end(), b) != order.end();
+  };
+  if (accept(DepKind::kWW)) {
+    for (const auto& [x, order] : ww_order_) {
+      if (ordered(order, a)) return DepEdge{a, b, DepKind::kWW, x};
+    }
+  }
+  if (accept(DepKind::kRW) && a != b) {
+    for (const auto& [x, sources] : wr_source_) {
+      const auto it = sources.find(a);
+      if (it != sources.end() && ordered(write_order(x), it->second)) {
+        return DepEdge{a, b, DepKind::kRW, x};
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 DependencyGraph extract_graph(const AbstractExecution& x) {

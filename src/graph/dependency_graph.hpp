@@ -104,6 +104,13 @@ class DependencyGraph {
   /// Typed edges between \p a and \p b in that direction.
   [[nodiscard]] std::vector<DepEdge> edges_between(TxnId a, TxnId b) const;
 
+  /// The first edge of edges_between(a, b) whose kind passes \p accept,
+  /// found without listing edges(): SO from the session indices in O(1),
+  /// then WR, WW and RW in one pass each over the annotated objects
+  /// (edges() lists each kind in ascending object order).
+  [[nodiscard]] std::optional<DepEdge> first_edge(
+      TxnId a, TxnId b, bool (*accept)(DepKind)) const;
+
   friend bool operator==(const DependencyGraph&,
                          const DependencyGraph&) = default;
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "graph/enumeration.hpp"
+#include "mvcc/psi_engine.hpp"
+#include "support/reference_checkers.hpp"
 #include "workload/paper_examples.hpp"
 
 namespace sia {
@@ -247,6 +251,82 @@ TEST(Characterization, FastPathsMatchReferenceOnNamedGraphs) {
     EXPECT_EQ(psi_fast.member, psi_ref.member);
     EXPECT_EQ(psi_fast.witness, psi_ref.witness);
   }
+}
+
+/// A PSI engine run of \p txns transactions over two replicas. It opens
+/// with a long fork — each replica commits one write, then a reader on
+/// each replica reads both keys before anything replicates — and then runs
+/// random transactions, replicating partially, so the graph is large, in
+/// GraphPSI and not in GraphSI.
+mvcc::RecordedRun long_fork_psi_run(std::size_t txns, std::uint64_t seed) {
+  const auto keys = static_cast<std::uint32_t>(txns / 2 + 2);
+  mvcc::Recorder rec;
+  mvcc::PSIDatabase db(keys, 2, &rec);
+  std::vector<mvcc::PSISession> s;
+  for (int i = 0; i < 8; ++i) {
+    s.push_back(db.make_session(static_cast<mvcc::ReplicaId>(i % 2)));
+  }
+  {
+    mvcc::PSITransaction w0 = db.begin(s[0]);
+    w0.write(0, 1);
+    EXPECT_TRUE(w0.commit());
+    mvcc::PSITransaction w1 = db.begin(s[1]);
+    w1.write(1, 2);
+    EXPECT_TRUE(w1.commit());
+    for (const int reader : {2, 3}) {
+      mvcc::PSITransaction r = db.begin(s[reader]);
+      (void)r.read(0);
+      (void)r.read(1);
+      EXPECT_TRUE(r.commit());
+    }
+  }
+  db.pump_all();
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<ObjId> key(0, keys - 1);
+  Value v = 2;
+  for (std::size_t t = 0; rec.commit_count() < txns; ++t) {
+    std::vector<std::pair<bool, ObjId>> ops;
+    for (int o = 0; o < 4; ++o) ops.emplace_back(rng() % 2 == 0, key(rng));
+    for (bool committed = false; !committed;) {
+      mvcc::PSITransaction txn = db.begin(s[t % 8]);
+      for (const auto& [is_write, k] : ops) {
+        if (is_write) {
+          txn.write(k, ++v);
+        } else {
+          (void)txn.read(k);
+        }
+      }
+      committed = txn.commit();
+      if (!committed) db.pump_all();
+    }
+    if (t % 3 == 0) db.pump(static_cast<mvcc::ReplicaId>(t % 2), 2);
+  }
+  db.pump_all();
+  return rec.build();
+}
+
+TEST(Characterization, LargeLongForkSiWitnessMatchesReference) {
+  // Past toy sizes: the GraphSI witness of a 2048-transaction engine graph
+  // must be the dense oracle's, edge for edge, and a closed cycle of the
+  // graph's typed edges.
+  const mvcc::RecordedRun run = long_fork_psi_run(2048, 1);
+  const DependencyGraph& g = run.graph;
+  ASSERT_EQ(g.txn_count(), 2049u);  // 2048 commits and the initial writer
+  const DepRelations rel = g.relations();
+  const GraphCheck si = check_graph_si(g, rel);
+  ASSERT_FALSE(si.member);
+  ASSERT_FALSE(si.witness.empty());
+  EXPECT_EQ(si.witness, check_graph_si_reference(g, rel).witness);
+  const std::vector<DepEdge> all = g.edges();
+  for (std::size_t i = 0; i < si.witness.size(); ++i) {
+    const DepEdge& e = si.witness[i];
+    EXPECT_EQ(e.to, si.witness[(i + 1) % si.witness.size()].from);
+    EXPECT_NE(std::find(all.begin(), all.end(), e), all.end()) << to_string(e);
+  }
+  EXPECT_TRUE(check_graph_psi(g, rel).member);
+  const GraphCheck ser = check_graph_ser(g, rel);
+  ASSERT_FALSE(ser.member);
+  EXPECT_EQ(ser.witness, check_graph_ser_reference(g, rel).witness);
 }
 
 TEST(Characterization, CheckGraphDispatch) {

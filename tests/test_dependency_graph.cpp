@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "graph/enumeration.hpp"
+#include "support/random_history.hpp"
 #include "workload/paper_examples.hpp"
 
 namespace sia {
@@ -123,6 +127,78 @@ TEST(DependencyGraph, EdgesListsTypedEdges) {
   const auto between = g.edges_between(0, 1);
   ASSERT_EQ(between.size(), 1u);
   EXPECT_EQ(between[0].kind, DepKind::kWW);
+}
+
+/// first_edge(a, b, accept) must be the first edge of edges_between(a, b)
+/// that passes \p accept, for every ordered pair of \p g.
+void expect_first_edge_matches_listing(const DependencyGraph& g) {
+  using Accept = bool (*)(DepKind);
+  const Accept accepts[] = {
+      [](DepKind k) {
+        return k == DepKind::kSO || k == DepKind::kWR || k == DepKind::kWW;
+      },
+      [](DepKind k) { return k == DepKind::kRW; },
+      [](DepKind) { return true; },
+  };
+  for (TxnId a = 0; a < g.txn_count(); ++a) {
+    for (TxnId b = 0; b < g.txn_count(); ++b) {
+      const std::vector<DepEdge> listed = g.edges_between(a, b);
+      for (const Accept accept : accepts) {
+        const auto first = std::find_if(
+            listed.begin(), listed.end(),
+            [accept](const DepEdge& e) { return accept(e.kind); });
+        const std::optional<DepEdge> expected =
+            first == listed.end() ? std::nullopt
+                                  : std::optional<DepEdge>(*first);
+        EXPECT_EQ(g.first_edge(a, b, accept), expected)
+            << "T" << a << " -> T" << b << "\n" << to_string(g.history());
+      }
+    }
+  }
+}
+
+TEST(DependencyGraph, FirstEdgeMatchesEdgesBetweenOnFuzzGraphs) {
+  // The histories and graph budget of FuzzSweep's reference differential.
+  for (int seed = 0; seed < 12; ++seed) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 6151 + 3);
+    for (int round = 0; round < 10; ++round) {
+      const History h = random_history(rng);
+      std::size_t budget = 40;
+      enumerate_dependency_graphs(h, [&](const DependencyGraph& g) {
+        expect_first_edge_matches_listing(g);
+        return --budget > 0;
+      });
+    }
+  }
+}
+
+TEST(DependencyGraph, FirstEdgeMatchesEdgesBetweenOnMalformedGraphs) {
+  // Orders with repeats and self-reads are rejected by validate(), but the
+  // edge listing still describes them; the lookup must agree with it.
+  DependencyGraph g = small_graph();
+  g.set_write_order(kX, {1, 0, 1, 2});
+  g.set_read_from(kY, 2, 2);
+  g.set_write_order(kY, {2, 0, 2});
+  expect_first_edge_matches_listing(g);
+}
+
+TEST(DependencyGraph, EdgesListsSessionOrderRowMajor) {
+  // SO comes first in edges(), in the row-major order of session_order(),
+  // also when sessions interleave.
+  History h;
+  for (const SessionId s : {0u, 1u, 0u, 2u, 1u, 0u, 2u, 2u, 1u}) {
+    h.append(s, Transaction({read(kX, 0)}));
+  }
+  const std::vector<DepEdge> edges = DependencyGraph(h).edges();
+  std::vector<DepEdge> expected;
+  for (const auto& [a, c] : h.session_order().edges()) {
+    expected.push_back({a, c, DepKind::kSO, kInvalidObj});
+  }
+  ASSERT_GE(edges.size(), expected.size());
+  EXPECT_EQ(std::vector<DepEdge>(edges.begin(), edges.begin() +
+                                                    static_cast<std::ptrdiff_t>(
+                                                        expected.size())),
+            expected);
 }
 
 TEST(DependencyGraph, ExtractGraphFromExecution) {

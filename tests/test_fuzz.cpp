@@ -9,6 +9,8 @@
 #include "graph/enumeration.hpp"
 #include "graph/monitor.hpp"
 #include "graph/soundness.hpp"
+#include "support/random_history.hpp"
+#include "support/reference_checkers.hpp"
 #include "workload/paper_examples.hpp"
 
 /// \file test_fuzz.cpp
@@ -23,39 +25,6 @@
 
 namespace sia {
 namespace {
-
-/// Random history: 2-4 sessions, 1-3 txns each, 1-3 events per txn over
-/// 2 objects with values in {0, 1, 2}. Deliberately unconstrained.
-History random_history(std::mt19937_64& rng) {
-  std::uniform_int_distribution<int> sessions_dist(1, 3);
-  std::uniform_int_distribution<int> txns_dist(1, 3);
-  std::uniform_int_distribution<int> events_dist(1, 3);
-  std::uniform_int_distribution<int> obj_dist(0, 1);
-  std::uniform_int_distribution<int> val_dist(0, 2);
-  std::uniform_int_distribution<int> kind_dist(0, 1);
-
-  HistoryBuilder b;
-  const ObjId x = b.obj("x");
-  const ObjId y = b.obj("y");
-  b.init_txn({x, y});
-  const int sessions = sessions_dist(rng);
-  for (int s = 0; s < sessions; ++s) {
-    b.session();
-    const int txns = txns_dist(rng);
-    for (int t = 0; t < txns; ++t) {
-      std::vector<Event> events;
-      const int n = events_dist(rng);
-      for (int e = 0; e < n; ++e) {
-        const ObjId obj = static_cast<ObjId>(obj_dist(rng));
-        const Value val = val_dist(rng);
-        events.push_back(kind_dist(rng) == 0 ? read(obj, val)
-                                             : write(obj, val));
-      }
-      b.txn(std::move(events));
-    }
-  }
-  return b.build();
-}
 
 class FuzzSweep : public ::testing::TestWithParam<int> {};
 
@@ -149,6 +118,26 @@ TEST_P(FuzzSweep, FastCheckersMatchReferenceBitForBit) {
       EXPECT_EQ(psi_fast.witness, psi_ref.witness) << to_string(h);
       EXPECT_EQ(psi_fast.int_violation.has_value(),
                 psi_ref.int_violation.has_value());
+      return --budget > 0;
+    });
+  }
+}
+
+TEST_P(FuzzSweep, SerCheckerMatchesReferenceBitForBit) {
+  // check_graph_ser builds the union's rows only for the nodes its DFS
+  // visits; verdict and witness must be the materialised union's.
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
+  for (int round = 0; round < 10; ++round) {
+    const History h = random_history(rng);
+    std::size_t budget = 40;
+    enumerate_dependency_graphs(h, [&](const DependencyGraph& g) {
+      const DepRelations rel = g.relations();
+      const GraphCheck fast = check_graph_ser(g, rel);
+      const GraphCheck ref = check_graph_ser_reference(g, rel);
+      EXPECT_EQ(fast.member, ref.member) << to_string(h);
+      EXPECT_EQ(fast.witness, ref.witness) << to_string(h);
+      EXPECT_EQ(fast.int_violation.has_value(),
+                ref.int_violation.has_value());
       return --budget > 0;
     });
   }
