@@ -113,8 +113,8 @@ struct Piece {
   std::string label;          ///< e.g. "acct1 = acct1 - 100"
   std::vector<ObjId> reads;   ///< R_i^j (concrete objects)
   std::vector<ObjId> writes;  ///< W_i^j (concrete objects)
-  std::vector<KeyAccess> key_reads;   ///< parametric reads
-  std::vector<KeyAccess> key_writes;  ///< parametric writes
+  std::vector<KeyAccess> key_reads{};   ///< parametric reads
+  std::vector<KeyAccess> key_writes{};  ///< parametric writes
   SourceSpan span{};          ///< the `piece` line, when parsed from text
 
   [[nodiscard]] bool may_read(ObjId x) const;
@@ -133,7 +133,7 @@ struct Piece {
 struct Program {
   std::string name;
   std::vector<Piece> pieces;
-  std::vector<ParamDecl> params;  ///< integer parameters, possibly empty
+  std::vector<ParamDecl> params{};  ///< integer parameters, possibly empty
   SourceSpan span{};  ///< the program's name token, when parsed from text
 
   /// Union of the pieces' read sets (the whole transaction's read set).

@@ -69,6 +69,8 @@ void Relation::remove(TxnId a, TxnId b) {
   row(a)[b / kWordBits] &= ~(std::uint64_t{1} << (b % kWordBits));
 }
 
+void Relation::clear() { std::fill(bits_.begin(), bits_.end(), 0); }
+
 void Relation::absorb_row(TxnId dst, TxnId src) {
   assert(dst < n_ && src < n_);
   if (dst == src) return;

@@ -57,6 +57,10 @@ class Relation {
   void add(TxnId a, TxnId b);
   void remove(TxnId a, TxnId b);
 
+  /// Removes every pair; the universe and its storage are kept, so a
+  /// relation refilled in a loop allocates once.
+  void clear();
+
   /// row(dst) |= row(src): dst's successor set absorbs src's in one
   /// word-parallel pass — the propagation primitive of DAG reachability.
   void absorb_row(TxnId dst, TxnId src);

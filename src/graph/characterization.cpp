@@ -240,7 +240,42 @@ std::vector<DepEdge> psi_witness(const DependencyGraph& g,
   return out;
 }
 
+/// The Theorem 8 search: the first cycle of SO ∪ WR ∪ WW ∪ RW in
+/// Relation::find_cycle order, one row per visited node.
+std::optional<std::vector<TxnId>> ser_cycle(const DepRelations& rel) {
+  return find_cycle_by_rows(
+      rel.so.size(), [&rel](TxnId u, std::span<std::uint64_t> row) {
+        d_row(rel, u, row);
+        const auto rw = rel.rw.row_words(u);
+        for (std::size_t i = 0; i < row.size(); ++i) row[i] |= rw[i];
+      });
+}
+
 }  // namespace
+
+std::string to_string(Model m) {
+  switch (m) {
+    case Model::kSER:
+      return "SER";
+    case Model::kSI:
+      return "SI";
+    case Model::kPSI:
+      return "PSI";
+  }
+  return "?";
+}
+
+bool graph_member(const DepRelations& rel, Model m) {
+  switch (m) {
+    case Model::kSER:
+      return !ser_cycle(rel);
+    case Model::kSI:
+      return composed_si_relation_acyclic(rel.so, rel.wr, rel.ww, rel.rw);
+    case Model::kPSI:
+      return dplus_rw_irreflexive(rel.so, rel.wr, rel.ww, rel.rw);
+  }
+  throw ModelError("graph_member: unknown model");
+}
 
 GraphCheck check_graph_ser(const DependencyGraph& g) {
   return check_graph_ser(g, g.relations());
@@ -252,14 +287,7 @@ GraphCheck check_graph_ser(const DependencyGraph& g, const DepRelations& rel) {
     result.int_violation = std::move(v);
     return result;
   }
-  // SO ∪ WR ∪ WW ∪ RW, one row per visited node.
-  const auto cycle = find_cycle_by_rows(
-      rel.so.size(), [&rel](TxnId u, std::span<std::uint64_t> row) {
-        d_row(rel, u, row);
-        const auto rw = rel.rw.row_words(u);
-        for (std::size_t i = 0; i < row.size(); ++i) row[i] |= rw[i];
-      });
-  if (cycle) {
+  if (const auto cycle = ser_cycle(rel)) {
     for (std::size_t i = 0; i < cycle->size(); ++i) {
       const TxnId u = (*cycle)[i];
       const TxnId v = (*cycle)[(i + 1) % cycle->size()];
@@ -281,7 +309,7 @@ GraphCheck check_graph_si(const DependencyGraph& g, const DepRelations& rel) {
     result.int_violation = std::move(v);
     return result;
   }
-  if (composed_si_relation_acyclic(rel.so, rel.wr, rel.ww, rel.rw)) {
+  if (graph_member(rel, Model::kSI)) {
     result.member = true;
   } else {
     result.witness = si_witness(g, rel);
@@ -306,38 +334,6 @@ GraphCheck check_graph_psi(const DependencyGraph& g, const DepRelations& rel) {
     result.member = true;
   }
   return result;
-}
-
-RobustnessWitness si_anomaly(const DependencyGraph& g) {
-  RobustnessWitness out;
-  const DepRelations rel = g.relations();
-  const GraphCheck si = check_graph_si(g, rel);
-  if (si.int_violation) {
-    out.int_violation = si.int_violation;
-    return out;
-  }
-  if (!si.member) return out;  // not even allowed by SI
-  const GraphCheck ser = check_graph_ser(g, rel);
-  if (ser.member) return out;  // serializable, no anomaly
-  out.anomaly = true;
-  out.cycle = ser.witness;
-  return out;
-}
-
-RobustnessWitness psi_anomaly(const DependencyGraph& g) {
-  RobustnessWitness out;
-  const DepRelations rel = g.relations();
-  const GraphCheck psi = check_graph_psi(g, rel);
-  if (psi.int_violation) {
-    out.int_violation = psi.int_violation;
-    return out;
-  }
-  if (!psi.member) return out;
-  const GraphCheck si = check_graph_si(g, rel);
-  if (si.member) return out;
-  out.anomaly = true;
-  out.cycle = si.witness;
-  return out;
 }
 
 }  // namespace sia

@@ -9,10 +9,14 @@
 /// \file characterization.hpp
 /// The dependency-graph characterisations of serializability (Theorem 8),
 /// snapshot isolation (Theorem 9 — the paper's headline result) and
-/// parallel SI (Theorem 21), with witness cycles, plus the dynamic
-/// robustness criteria of Theorems 19 and 22.
+/// parallel SI (Theorem 21), with witness cycles.
 
 namespace sia {
+
+/// Consistency models treated by the paper.
+enum class Model : std::uint8_t { kSER, kSI, kPSI };
+
+[[nodiscard]] std::string to_string(Model m);
 
 /// Result of a graph-membership check. On non-membership, \c witness holds
 /// a culprit cycle as typed edges (empty if the failure is INT, in which
@@ -58,18 +62,12 @@ struct GraphCheck {
 [[nodiscard]] GraphCheck check_graph_psi(const DependencyGraph& g,
                                          const DepRelations& rel);
 
-/// Dynamic robustness criterion against SI (Theorem 19):
-/// G ∈ GraphSI \ GraphSER — the graph exhibits an SI-only anomaly.
-/// Returns the witness cycle of the GraphSER failure when true.
-struct RobustnessWitness {
-  bool anomaly{false};              ///< true iff G is in the difference set
-  std::vector<DepEdge> cycle;       ///< cycle excluded from the stronger model
-  std::optional<Violation> int_violation;
-};
-[[nodiscard]] RobustnessWitness si_anomaly(const DependencyGraph& g);
-
-/// Dynamic robustness criterion against parallel SI towards SI
-/// (Theorem 22): G ∈ GraphPSI \ GraphSI.
-[[nodiscard]] RobustnessWitness psi_anomaly(const DependencyGraph& g);
+/// Membership of the graph whose relations are \p rel in GraphSER /
+/// GraphSI / GraphPSI, the INT axiom aside (it is a property of the
+/// history alone, so a caller deciding many graphs over one history checks
+/// it once). These are the decision kernels check_graph_ser / _si / _psi
+/// run before extracting a witness; the exhaustive enumerators call this
+/// on every candidate graph and build no witness.
+[[nodiscard]] bool graph_member(const DepRelations& rel, Model m);
 
 }  // namespace sia

@@ -1,6 +1,7 @@
 #include "graph/cycles.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 namespace sia {
@@ -217,17 +218,23 @@ std::size_t min_rw_count(const TypedCycle& c) {
 
 namespace {
 
-/// Successor lists of D = SO ∪ WR ∪ WW, extracted once; duplicates across
-/// the three relations are harmless for a verdict-only search.
+/// Successor lists of D = SO ∪ WR ∪ WW, extracted once from the three
+/// rows OR-ed word by word: ascending, without duplicates.
 std::vector<std::vector<TxnId>> merged_d_adjacency(const Relation& so,
                                                    const Relation& wr,
                                                    const Relation& ww) {
   std::vector<std::vector<TxnId>> adj(so.size());
   for (TxnId u = 0; u < so.size(); ++u) {
-    const auto append = [&adj, u](TxnId v) { adj[u].push_back(v); };
-    so.for_successors(u, append);
-    wr.for_successors(u, append);
-    ww.for_successors(u, append);
+    const auto a = so.row_words(u);
+    const auto b = wr.row_words(u);
+    const auto c = ww.row_words(u);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      for (std::uint64_t word = a[i] | b[i] | c[i]; word != 0;
+           word &= word - 1) {
+        adj[u].push_back(static_cast<TxnId>(
+            i * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+      }
+    }
   }
   return adj;
 }

@@ -21,11 +21,6 @@
 
 namespace sia {
 
-/// Consistency models treated by the paper.
-enum class Model : std::uint8_t { kSER, kSI, kPSI };
-
-[[nodiscard]] std::string to_string(Model m);
-
 /// Applies the model's characterisation check (Theorems 8 / 9 / 21).
 [[nodiscard]] GraphCheck check_graph(const DependencyGraph& g, Model m);
 
@@ -36,6 +31,25 @@ enum class Model : std::uint8_t { kSER, kSI, kPSI };
 std::size_t enumerate_dependency_graphs(
     const History& h, const std::function<bool(const DependencyGraph&)>& visit);
 
+/// One WR choice of a dependency graph under enumeration: \p reader reads
+/// from \p writer the object whose WW order is entry \p order of the
+/// enumerator's order list.
+struct ReadChoice {
+  TxnId reader{kInvalidTxn};
+  TxnId writer{kInvalidTxn};
+  std::size_t order{0};
+};
+
+/// Refills \p rel's WR in place from \p reads.
+void refill_wr(DepRelations& rel, const std::vector<ReadChoice>& reads);
+
+/// Refills \p rel's WW and RW in place from the WW orders (earliest writer
+/// first) and the WR choices — what DependencyGraph::relations() derives,
+/// RW per Definition 5, without building a graph.
+void refill_ww_rw(DepRelations& rel,
+                  const std::vector<std::vector<TxnId>>& orders,
+                  const std::vector<ReadChoice>& reads);
+
 /// Result of a history-level membership decision.
 struct HistDecision {
   bool allowed{false};
@@ -44,7 +58,12 @@ struct HistDecision {
 };
 
 /// Exact decision of H ∈ HistSER / HistSI / HistPSI by Theorems 8/9/21:
-/// searches for a dependency-graph extension in the model's graph set.
+/// searches for a dependency-graph extension in the model's graph set, in
+/// enumerate_dependency_graphs order. INT is checked once for H, SO built
+/// once, WR refilled once per read assignment and WW / RW once per graph;
+/// each graph is decided by graph_member, and only the witness is built
+/// as a DependencyGraph. graphs_tried counts every extension when H
+/// violates INT.
 [[nodiscard]] HistDecision decide_history(const History& h, Model m);
 
 }  // namespace sia

@@ -3,18 +3,23 @@
 #include <algorithm>
 #include <set>
 
+#include "graph/enumeration.hpp"
+
 namespace sia {
 
 namespace {
 
 /// One pending read-source choice.
 struct ReadSite {
-  TxnId reader;
   ObjId obj;
   std::size_t event_index;          ///< index of the read in reader's events
   std::vector<TxnId> candidates;    ///< init and other writers of obj
 };
 
+/// Enumerates WR sources, then WW orders with init pinned first. The
+/// History, its INT check and WR are rebuilt once per read assignment;
+/// each WW choice refills only WW and RW and is decided by membership
+/// alone. Only a hit becomes a DependencyGraph.
 class ConcretizeSearch {
  public:
   ConcretizeSearch(const std::vector<Program>& instances, AnomalyTarget target,
@@ -42,28 +47,31 @@ class ConcretizeSearch {
       }
       history_.append_singleton(std::move(t));
     }
+    // One WW order per object, init first; the rest is permuted in place.
+    objects_.assign(objs.begin(), objs.end());
+    for (ObjId x : objects_) orders_.push_back(history_.writers_of(x));
     // Read sites and their candidate sources.
     for (TxnId id = 1; id < history_.txn_count(); ++id) {
       const Transaction& t = history_.txn(id);
       for (std::size_t e = 0; e < t.size(); ++e) {
         if (!t[e].is_read()) continue;
-        ReadSite site{id, t[e].obj, e, {}};
+        ReadSite site{t[e].obj, e, {}};
         for (TxnId w : history_.writers_of(t[e].obj)) {
           if (w != id) site.candidates.push_back(w);
         }
+        const auto order = static_cast<std::size_t>(
+            std::lower_bound(objects_.begin(), objects_.end(), t[e].obj) -
+            objects_.begin());
+        reads_.push_back({id, kInvalidTxn, order});
         sites_.push_back(std::move(site));
       }
     }
-    for (ObjId x : objs) {
-      std::vector<TxnId> writers = history_.writers_of(x);
-      // Keep init (TxnId 0) first; permute the rest.
-      writers.erase(std::find(writers.begin(), writers.end(), 0));
-      if (!writers.empty()) perm_objects_.emplace_back(x, std::move(writers));
-    }
+    const std::size_t n = history_.txn_count();
+    rel_ = DepRelations{history_.session_order(), Relation(n), Relation(n),
+                        Relation(n)};
   }
 
   Concretization run() {
-    choice_.assign(sites_.size(), 0);
     assign_site(0);
     return std::move(result_);
   }
@@ -76,11 +84,12 @@ class ConcretizeSearch {
   void assign_site(std::size_t idx) {
     if (done()) return;
     if (idx == sites_.size()) {
+      read_assignment();
       assign_perm(0);
       return;
     }
     for (TxnId source : sites_[idx].candidates) {
-      choice_[idx] = source;
+      reads_[idx].writer = source;
       assign_site(idx + 1);
       if (done()) return;
     }
@@ -88,16 +97,38 @@ class ConcretizeSearch {
 
   void assign_perm(std::size_t idx) {
     if (done()) return;
-    if (idx == perm_objects_.size()) {
+    if (idx == orders_.size()) {
       evaluate();
       return;
     }
-    std::vector<TxnId>& writers = perm_objects_[idx].second;
-    std::sort(writers.begin(), writers.end());
+    // Init (TxnId 0, the smallest writer) stays first.
+    std::vector<TxnId>& order = orders_[idx];
+    std::sort(order.begin() + 1, order.end());
     do {
       assign_perm(idx + 1);
       if (done()) return;
-    } while (std::next_permutation(writers.begin(), writers.end()));
+    } while (std::next_permutation(order.begin() + 1, order.end()));
+  }
+
+  /// The history with the chosen read values, its INT verdict and WR.
+  void read_assignment() {
+    std::vector<std::vector<Event>> events;
+    events.reserve(history_.txn_count());
+    for (TxnId id = 0; id < history_.txn_count(); ++id) {
+      events.push_back(history_.txn(id).events());
+    }
+    for (std::size_t i = 0; i < sites_.size(); ++i) {
+      const ReadSite& s = sites_[i];
+      const TxnId src = reads_[i].writer;
+      const Value v = src == 0 ? 0 : value_of(src, s.obj);
+      events[reads_[i].reader][s.event_index] = read(s.obj, v);
+    }
+    current_ = History{};
+    for (auto& ev : events) {
+      current_.append_singleton(Transaction(std::move(ev)));
+    }
+    int_ok_ = !axioms::check_int(current_);
+    refill_wr(rel_, reads_);
   }
 
   void evaluate() {
@@ -106,39 +137,25 @@ class ConcretizeSearch {
       return;
     }
     ++result_.graphs_tried;
-    // Materialise the history with the chosen read values, then the graph.
-    std::vector<std::vector<Event>> events;
-    events.reserve(history_.txn_count());
-    for (TxnId id = 0; id < history_.txn_count(); ++id) {
-      events.push_back(history_.txn(id).events());
-    }
+    if (!int_ok_) return;
+    refill_ww_rw(rel_, orders_, reads_);
+    const bool hit = target_ == AnomalyTarget::kSiNotSer
+                         ? graph_member(rel_, Model::kSI) &&
+                               !graph_member(rel_, Model::kSER)
+                         : graph_member(rel_, Model::kPSI) &&
+                               !graph_member(rel_, Model::kSI);
+    if (!hit) return;
+    DependencyGraph g(current_);
     for (std::size_t i = 0; i < sites_.size(); ++i) {
-      const ReadSite& s = sites_[i];
-      const TxnId src = choice_[i];
-      const Value v = src == 0 ? 0 : value_of(src, s.obj);
-      events[s.reader][s.event_index] = read(s.obj, v);
+      g.set_read_from(sites_[i].obj, reads_[i].writer, reads_[i].reader);
     }
-    History h;
-    for (auto& ev : events) h.append_singleton(Transaction(std::move(ev)));
-    DependencyGraph g(h);
-    for (std::size_t i = 0; i < sites_.size(); ++i) {
-      g.set_read_from(sites_[i].obj, choice_[i], sites_[i].reader);
-    }
-    for (const auto& [x, writers] : perm_objects_) {
-      std::vector<TxnId> order{0};
-      order.insert(order.end(), writers.begin(), writers.end());
-      g.set_write_order(x, std::move(order));
-    }
-    for (ObjId x : history_.objects()) {
-      if (g.write_order(x).empty()) g.set_write_order(x, {0});
+    for (std::size_t i = 0; i < objects_.size(); ++i) {
+      g.set_write_order(objects_[i], orders_[i]);
     }
 #ifndef NDEBUG
     if (g.validate().has_value()) return;  // by construction; debug check
 #endif
-    const bool hit = target_ == AnomalyTarget::kSiNotSer
-                         ? si_anomaly(g).anomaly
-                         : psi_anomaly(g).anomaly;
-    if (hit) result_.witness = std::move(g);
+    result_.witness = std::move(g);
   }
 
   [[nodiscard]] bool done() const {
@@ -147,10 +164,14 @@ class ConcretizeSearch {
 
   AnomalyTarget target_;
   std::size_t budget_;
-  History history_;
+  History history_;                         ///< reads of value 0
+  History current_;                         ///< the chosen read values
+  bool int_ok_{true};
   std::vector<ReadSite> sites_;
-  std::vector<TxnId> choice_;
-  std::vector<std::pair<ObjId, std::vector<TxnId>>> perm_objects_;
+  std::vector<ReadChoice> reads_;           ///< parallel to sites_
+  std::vector<ObjId> objects_;              ///< ascending
+  std::vector<std::vector<TxnId>> orders_;  ///< WW order per object
+  DepRelations rel_;
   Concretization result_;
 };
 

@@ -7,6 +7,7 @@
 #include "graph/enumeration.hpp"
 #include "mvcc/psi_engine.hpp"
 #include "support/reference_checkers.hpp"
+#include "support/reference_deciders.hpp"
 #include "workload/paper_examples.hpp"
 
 namespace sia {

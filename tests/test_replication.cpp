@@ -49,8 +49,8 @@ struct PairOpts {
   std::size_t shards{2};
   std::uint64_t heartbeat_ms{25};
   std::uint64_t auto_promote_ms{0};
-  std::string primary_wal;
-  std::string follower_wal;
+  std::string primary_wal{};
+  std::string follower_wal{};
 };
 
 /// A follower plus a primary shipping to it, identically sharded.

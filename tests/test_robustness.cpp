@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <random>
+#include <sstream>
+
+#include "support/reference_deciders.hpp"
+#include "tools/program_parser.hpp"
 #include "workload/apps.hpp"
 #include "workload/paper_examples.hpp"
 
@@ -231,6 +237,138 @@ TEST(Concretize, EmptyInstancesHaveNoAnomaly) {
   const Concretization c = find_concrete_anomaly({}, AnomalyTarget::kPsiNotSi);
   EXPECT_TRUE(c.exhaustive);
   EXPECT_FALSE(c.witness.has_value());
+}
+
+// ----- concretisation vs the per-graph-rebuild oracle ---------------------
+
+/// What one differential run covered.
+struct ConcretizeCoverage {
+  std::size_t witnessed{0};
+  std::size_t refuted{0};
+  std::size_t cut_by_budget{0};
+};
+
+/// find_concrete_anomaly must agree with the oracle on exhaustiveness, the
+/// number of graphs tried and the witness graph itself.
+void expect_same_concretization(const std::vector<Program>& instances,
+                                AnomalyTarget target, std::size_t budget,
+                                ConcretizeCoverage& cov) {
+  const Concretization fast = find_concrete_anomaly(instances, target, budget);
+  const Concretization ref =
+      find_concrete_anomaly_reference(instances, target, budget);
+  std::string names;
+  for (const Program& p : instances) names += p.name + " ";
+  const std::string label = names + (target == AnomalyTarget::kSiNotSer
+                                         ? "SI\\SER"
+                                         : "PSI\\SI") +
+                            " budget " + std::to_string(budget);
+  EXPECT_EQ(fast.exhaustive, ref.exhaustive) << label;
+  EXPECT_EQ(fast.graphs_tried, ref.graphs_tried) << label;
+  EXPECT_EQ(fast.witness, ref.witness) << label;
+  if (ref.witness) {
+    ++cov.witnessed;
+  } else if (ref.exhaustive) {
+    ++cov.refuted;
+  } else {
+    ++cov.cut_by_budget;
+  }
+}
+
+constexpr std::size_t kBudgets[] = {1, 7, 15'000};
+constexpr AnomalyTarget kTargets[] = {AnomalyTarget::kSiNotSer,
+                                      AnomalyTarget::kPsiNotSi};
+
+/// Every multiset of one or two of \p programs as instances, and the
+/// three-instance multisets when the suite has at most \p max_for_triples
+/// programs, under both targets and every budget.
+ConcretizeCoverage sweep_suite(const std::vector<Program>& programs,
+                               std::size_t max_for_triples) {
+  ConcretizeCoverage cov;
+  std::vector<std::vector<Program>> lists;
+  const std::size_t n = programs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    lists.push_back({programs[i]});
+    for (std::size_t j = i; j < n; ++j) {
+      lists.push_back({programs[i], programs[j]});
+      if (n > max_for_triples) continue;
+      for (std::size_t k = j; k < n; ++k) {
+        lists.push_back({programs[i], programs[j], programs[k]});
+      }
+    }
+  }
+  for (const auto& instances : lists) {
+    for (const AnomalyTarget target : kTargets) {
+      for (const std::size_t budget : kBudgets) {
+        expect_same_concretization(instances, target, budget, cov);
+      }
+    }
+  }
+  return cov;
+}
+
+std::vector<Program> example_suite(const std::string& file) {
+  std::ifstream in(std::string(SIA_SOURCE_DIR) + "/examples/" + file);
+  std::stringstream text;
+  text << in.rdbuf();
+  return unchop(parse_programs(text.str()).programs);
+}
+
+TEST(ConcretizeDifferential, BankingExamplesMatchReference) {
+  for (const char* file : {"banking.sia", "banking_safe.sia"}) {
+    const std::vector<Program> suite = example_suite(file);
+    ASSERT_FALSE(suite.empty()) << file;
+    // Neither unchopped suite has an SI-only or PSI-only anomaly over up
+    // to three instances: every search is refuted or cut by the budget.
+    const ConcretizeCoverage cov = sweep_suite(suite, 3);
+    EXPECT_GT(cov.refuted, 0u) << file;
+    EXPECT_GT(cov.cut_by_budget, 0u) << file;
+  }
+}
+
+TEST(ConcretizeDifferential, PaperSuitesMatchReference) {
+  ConcretizeCoverage total;
+  for (const paper::NamedPrograms& suite :
+       {paper::fig5_programs(), paper::fig6_programs(), paper::fig11_programs(),
+        paper::fig12_programs(), paper::banking_programs(),
+        paper::reporting_programs()}) {
+    const ConcretizeCoverage cov = sweep_suite(unchop(suite.programs), 3);
+    total.witnessed += cov.witnessed;
+    total.refuted += cov.refuted;
+    total.cut_by_budget += cov.cut_by_budget;
+  }
+  EXPECT_GT(total.witnessed, 0u);
+  EXPECT_GT(total.refuted, 0u);
+  EXPECT_GT(total.cut_by_budget, 0u);
+}
+
+TEST(ConcretizeDifferential, RandomProgramSetsMatchReference) {
+  // Two or three single-piece programs, each reading and writing random
+  // subsets of three objects.
+  std::mt19937_64 rng(20160725);
+  ConcretizeCoverage total;
+  for (int round = 0; round < 12; ++round) {
+    std::vector<Program> programs;
+    const std::size_t count = 2 + rng() % 2;
+    for (std::size_t i = 0; i < count; ++i) {
+      Piece piece;
+      piece.label = "p" + std::to_string(i);
+      for (ObjId x = 0; x < 3; ++x) {
+        if (rng() % 2 == 0) piece.reads.push_back(x);
+        if (rng() % 3 == 0) piece.writes.push_back(x);
+      }
+      Program p;
+      p.name = piece.label;
+      p.pieces.push_back(std::move(piece));
+      programs.push_back(std::move(p));
+    }
+    const ConcretizeCoverage cov = sweep_suite(programs, 2);
+    total.witnessed += cov.witnessed;
+    total.refuted += cov.refuted;
+    total.cut_by_budget += cov.cut_by_budget;
+  }
+  EXPECT_GT(total.witnessed, 0u);
+  EXPECT_GT(total.refuted, 0u);
+  EXPECT_GT(total.cut_by_budget, 0u);
 }
 
 }  // namespace

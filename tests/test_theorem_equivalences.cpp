@@ -3,6 +3,7 @@
 #include "graph/characterization.hpp"
 #include "graph/cycles.hpp"
 #include "graph/enumeration.hpp"
+#include "support/reference_deciders.hpp"
 #include "workload/paper_examples.hpp"
 
 /// \file test_theorem_equivalences.cpp
