@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <deque>
 #include <span>
 
 #include "graph/cycles.hpp"
@@ -117,67 +116,6 @@ std::optional<std::vector<TxnId>> find_cycle_by_rows(std::size_t n,
   return std::nullopt;
 }
 
-/// Relation::find_path over D without materialising D: BFS with
-/// successors in ascending order, so the same shortest path.
-std::optional<std::vector<TxnId>> find_d_path(const DepRelations& rel,
-                                              TxnId from, TxnId to) {
-  const std::size_t n = rel.so.size();
-  std::vector<TxnId> parent(n, kInvalidTxn);
-  std::vector<bool> visited(n, false);
-  std::vector<std::uint64_t> row((n + kWordBits - 1) / kWordBits);
-  std::deque<TxnId> queue{from};
-  bool found = false;
-  while (!queue.empty() && !found) {
-    const TxnId u = queue.front();
-    queue.pop_front();
-    d_row(rel, u, row);
-    for (std::size_t b = next_bit(row, 0); b < n; b = next_bit(row, b + 1)) {
-      const TxnId v = static_cast<TxnId>(b);
-      if (v == to) {
-        parent[v] = u;
-        found = true;
-        break;
-      }
-      if (!visited[v]) {
-        visited[v] = true;
-        parent[v] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  if (!found) return std::nullopt;
-  std::vector<TxnId> path{to};
-  for (TxnId cur = parent[to]; cur != kInvalidTxn && cur != from;
-       cur = parent[cur]) {
-    path.push_back(cur);
-  }
-  path.push_back(from);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-/// Appends typed edges of a D+ path from \p from to \p to: the D edge
-/// itself if there is one, otherwise a shortest D path.
-void expand_d_path(const DependencyGraph& g, const DepRelations& rel,
-                   TxnId from, TxnId to, std::vector<DepEdge>& out) {
-  if (d_contains(rel, from, to)) {
-    out.push_back(pick_edge(g, from, to, is_dep_kind));
-    return;
-  }
-  const auto path = find_d_path(rel, from, to);
-  if (!path) {
-    throw ModelError("expand_d_path: unreachable (internal error)");
-  }
-  for (std::size_t i = 0; i + 1 < path->size(); ++i) {
-    out.push_back(pick_edge(g, (*path)[i], (*path)[i + 1], is_dep_kind));
-  }
-}
-
-ModelError no_decomposition() {
-  return ModelError(
-      "composed edge has no D / RW decomposition (internal error)");
-}
-
 /// The Theorem 9 witness: the first cycle of C = D ∪ D;RW in
 /// Relation::find_cycle order, as typed edges. C's row of u is built on
 /// visit from D(u) and the RW rows of u's D-successors.
@@ -214,29 +152,27 @@ std::vector<DepEdge> si_witness(const DependencyGraph& g,
     d_row(rel, u, row);
     const auto w =
         first_where(row, [&](TxnId c) { return rel.rw.contains(c, v); });
-    if (!w) throw no_decomposition();
+    if (!w) {
+      throw ModelError(
+          "composed edge has no D / RW decomposition (internal error)");
+    }
     out.push_back(pick_edge(g, u, *w, is_dep_kind));
     out.push_back(pick_edge(g, *w, v, is_rw_kind));
   }
   return out;
 }
 
-/// The Theorem 21 witness for the smallest t with (D+ ; RW?)(t, t): a
-/// D-cycle through t, or a D path to the smallest w with D+(t, w) and
-/// RW(w, t), closed by that RW edge.
+/// The Theorem 21 witness: the violation's D path as typed edges, closed
+/// by RW(w, t) when it ends at some w other than t.
 std::vector<DepEdge> psi_witness(const DependencyGraph& g,
-                                 const DepRelations& rel,
-                                 const Relation& dplus, TxnId t) {
+                                 const PsiViolation& v) {
   std::vector<DepEdge> out;
-  if (dplus.contains(t, t)) {
-    expand_d_path(g, rel, t, t, out);
-    return out;
+  for (std::size_t i = 0; i + 1 < v.path.size(); ++i) {
+    out.push_back(pick_edge(g, v.path[i], v.path[i + 1], is_dep_kind));
   }
-  const auto w = first_where(dplus.row_words(t),
-                             [&](TxnId c) { return rel.rw.contains(c, t); });
-  if (!w) throw no_decomposition();
-  expand_d_path(g, rel, t, *w, out);
-  out.push_back(pick_edge(g, *w, t, is_rw_kind));
+  if (v.path.back() != v.t) {
+    out.push_back(pick_edge(g, v.path.back(), v.t, is_rw_kind));
+  }
   return out;
 }
 
@@ -272,7 +208,7 @@ bool graph_member(const DepRelations& rel, Model m) {
     case Model::kSI:
       return composed_si_relation_acyclic(rel.so, rel.wr, rel.ww, rel.rw);
     case Model::kPSI:
-      return dplus_rw_irreflexive(rel.so, rel.wr, rel.ww, rel.rw);
+      return psi_relation_irreflexive(rel.so, rel.wr, rel.ww, rel.rw);
   }
   throw ModelError("graph_member: unknown model");
 }
@@ -327,9 +263,9 @@ GraphCheck check_graph_psi(const DependencyGraph& g, const DepRelations& rel) {
     result.int_violation = std::move(v);
     return result;
   }
-  const Relation dplus = dependency_closure(rel.so, rel.wr, rel.ww);
-  if (const std::optional<TxnId> t = first_dplus_rw_reflexive(dplus, rel.rw)) {
-    result.witness = psi_witness(g, rel, dplus, *t);
+  if (const std::optional<PsiViolation> v =
+          first_psi_violation(rel.so, rel.wr, rel.ww, rel.rw)) {
+    result.witness = psi_witness(g, *v);
   } else {
     result.member = true;
   }

@@ -53,11 +53,16 @@ struct GraphCheck {
 /// GraphPSI (Theorem 21): INT ∧ irreflexive((SO ∪ WR ∪ WW)+ ; RW?).
 /// Equivalently: every cycle has at least two anti-dependency edges.
 ///
-/// Decided from D+ built by SCC condensation and reachability propagation
-/// (cycles.hpp, dependency_closure), never by the O(n³/64) Warshall
-/// closure. A failed check witnesses the smallest t with
-/// (D+ ; RW?)(t, t): a shortest D-cycle through t, or a shortest D path
-/// to the smallest w with D+(t, w) ∧ RW(w, t) closed by that RW edge.
+/// Decided inside the SCCs of D ∪ RW (cycles.hpp, first_psi_violation):
+/// every cycle with at most one RW edge lies in one SCC, so D is closed
+/// over each nontrivial SCC's own |C|-bit rows and never over the whole
+/// graph. When D ∪ RW is one SCC — the worst case — that costs the
+/// whole-graph closure of D, as before, plus one more pass over the rows.
+/// A failed check witnesses the smallest t with
+/// (D+ ; RW?)(t, t) over all SCCs: a shortest D-cycle through t, or a
+/// shortest D path to the smallest w with D+(t, w) ∧ RW(w, t) closed by
+/// that RW edge. Both paths stay in t's SCC, so a BFS confined to it
+/// finds the same path as one over the whole graph.
 [[nodiscard]] GraphCheck check_graph_psi(const DependencyGraph& g);
 [[nodiscard]] GraphCheck check_graph_psi(const DependencyGraph& g,
                                          const DepRelations& rel);

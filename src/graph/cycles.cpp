@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <set>
+#include <span>
 
 namespace sia {
 
@@ -218,78 +219,110 @@ std::size_t min_rw_count(const TypedCycle& c) {
 
 namespace {
 
-/// Successor lists of D = SO ∪ WR ∪ WW, extracted once from the three
-/// rows OR-ed word by word: ascending, without duplicates.
-std::vector<std::vector<TxnId>> merged_d_adjacency(const Relation& so,
-                                                   const Relation& wr,
-                                                   const Relation& ww) {
-  std::vector<std::vector<TxnId>> adj(so.size());
-  for (TxnId u = 0; u < so.size(); ++u) {
-    const auto a = so.row_words(u);
-    const auto b = wr.row_words(u);
-    const auto c = ww.row_words(u);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      for (std::uint64_t word = a[i] | b[i] | c[i]; word != 0;
-           word &= word - 1) {
-        adj[u].push_back(static_cast<TxnId>(
-            i * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+/// Successor lists in one array: u's successors are to[from[u]] up to
+/// to[from[u + 1]], ascending.
+struct Adjacency {
+  std::vector<std::uint32_t> from;
+  std::vector<TxnId> to;
+
+  [[nodiscard]] std::size_t size() const { return from.size() - 1; }
+  [[nodiscard]] std::span<const TxnId> operator[](TxnId u) const {
+    return {to.data() + from[u], to.data() + from[u + 1]};
+  }
+};
+
+/// Successor lists of the union of \p first and \p rest, extracted from
+/// their rows OR-ed word by word: one pass counts each list, so the array
+/// is allocated once at its size, and one pass fills it.
+template <typename... Rest>
+Adjacency merged_adjacency(const Relation& first, const Rest&... rest) {
+  const std::size_t n = first.size();
+  const auto word = [&](TxnId u, std::size_t i) {
+    return (first.row_words(u)[i] | ... | rest.row_words(u)[i]);
+  };
+  const std::size_t words = (n + 63) / 64;
+  Adjacency adj;
+  adj.from.assign(n + 1, 0);
+  for (TxnId u = 0; u < n; ++u) {
+    std::uint32_t count = 0;
+    for (std::size_t i = 0; i < words; ++i) {
+      count += static_cast<std::uint32_t>(std::popcount(word(u, i)));
+    }
+    adj.from[u + 1] = adj.from[u] + count;
+  }
+  adj.to.resize(adj.from[n]);
+  for (TxnId u = 0; u < n; ++u) {
+    TxnId* out = adj.to.data() + adj.from[u];
+    for (std::size_t i = 0; i < words; ++i) {
+      for (std::uint64_t w = word(u, i); w != 0; w &= w - 1) {
+        *out++ = static_cast<TxnId>(
+            i * 64 + static_cast<std::size_t>(std::countr_zero(w)));
       }
     }
   }
   return adj;
 }
 
-/// Iterative Tarjan over \p adj. Fills \p order with every node, SCC by
-/// SCC in completion order — each SCC after every SCC it reaches (reverse
-/// topological), the processing order of reachability propagation — and
-/// \p comp with each node's SCC id; ids ascend along \p order.
-void tarjan_sccs(const std::vector<std::vector<TxnId>>& adj,
-                 std::vector<TxnId>& order, std::vector<std::uint32_t>& comp) {
-  const std::size_t n = adj.size();
-  constexpr std::uint32_t kUnvisited = 0xffffffffu;
-  std::vector<std::uint32_t> index(n, kUnvisited);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
+/// Where a walk over one successor row, read word by word, stands.
+struct RowCursor {
+  std::size_t word{0};       ///< next word to load
+  std::uint64_t pending{0};  ///< successors in the loaded word not yet seen
+};
+
+/// Iterative Tarjan over a graph on \p n nodes: \p next(u, cursor) returns
+/// u's next successor in ascending order and advances \p cursor, which
+/// starts value-initialised, or kInvalidTxn when there is none left.
+/// Fills \p order with every node, SCC by SCC in completion order — each
+/// SCC after every SCC it reaches (reverse topological), the processing
+/// order of reachability propagation — and \p comp with each node's SCC
+/// id; ids ascend along \p order.
+template <typename Cursor, typename Next>
+void tarjan_sccs(std::size_t n, Next next, std::vector<TxnId>& order,
+                 std::vector<std::uint32_t>& comp) {
+  constexpr std::uint32_t kNone = 0xffffffffu;
+  // Each node's visiting index and lowlink. A visited node stays on the
+  // SCC stack until its SCC is popped and it gets a comp id.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> visit(n, {kNone, 0});
   std::vector<TxnId> scc_stack;
   struct Frame {
     TxnId node;
-    std::size_t next{0};
+    Cursor cursor{};
   };
   std::vector<Frame> frames;
   std::uint32_t counter = 0;
   std::uint32_t components = 0;
+  scc_stack.reserve(n);
+  frames.reserve(n);
   order.clear();
   order.reserve(n);
-  comp.assign(n, 0);
+  comp.assign(n, kNone);
+  const auto enter = [&](TxnId v) {
+    frames.push_back({v});
+    visit[v] = {counter, counter};
+    ++counter;
+    scc_stack.push_back(v);
+  };
 
   for (TxnId root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    frames.push_back({root, 0});
-    index[root] = lowlink[root] = counter++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
+    if (visit[root].first != kNone) continue;
+    enter(root);
     while (!frames.empty()) {
       Frame& f = frames.back();
       const TxnId u = f.node;
-      if (f.next < adj[u].size()) {
-        const TxnId v = adj[u][f.next++];
-        if (index[v] == kUnvisited) {
-          frames.push_back({v, 0});
-          index[v] = lowlink[v] = counter++;
-          scc_stack.push_back(v);
-          on_stack[v] = true;
-        } else if (on_stack[v]) {
-          lowlink[u] = std::min(lowlink[u], index[v]);
+      if (const TxnId v = next(u, f.cursor); v != kInvalidTxn) {
+        if (visit[v].first == kNone) {
+          enter(v);
+        } else if (comp[v] == kNone) {  // on the SCC stack
+          visit[u].second = std::min(visit[u].second, visit[v].first);
         }
         continue;
       }
-      if (lowlink[u] == index[u]) {
+      if (visit[u].second == visit[u].first) {
         // Root of an SCC: pop its members.
         TxnId member = kInvalidTxn;
         while (member != u) {
           member = scc_stack.back();
           scc_stack.pop_back();
-          on_stack[member] = false;
           comp[member] = components;
           order.push_back(member);
         }
@@ -297,11 +330,170 @@ void tarjan_sccs(const std::vector<std::vector<TxnId>>& adj,
       }
       frames.pop_back();
       if (!frames.empty()) {
-        lowlink[frames.back().node] =
-            std::min(lowlink[frames.back().node], lowlink[u]);
+        std::uint32_t& low = visit[frames.back().node].second;
+        low = std::min(low, visit[u].second);
       }
     }
   }
+}
+
+/// Reachability in \p adj by paths of one or more edges: Tarjan's
+/// condensation, then rows propagated through the SCCs sinks-first.
+/// reach(C) = ⋃ over edges (u, v) leaving C of ({v} ∪ reach(v)), plus C
+/// itself when an edge stays inside C. The row is built on one member and
+/// copied to the others. On a DAG every SCC is one node and this is one
+/// row union per edge.
+Relation reach_closure(const Adjacency& adj) {
+  const std::size_t n = adj.size();
+  std::vector<TxnId> order;
+  std::vector<std::uint32_t> comp;
+  tarjan_sccs<std::size_t>(
+      n,
+      [&adj](TxnId u, std::size_t& i) {
+        const std::span<const TxnId> succ = adj[u];
+        return i < succ.size() ? succ[i++] : kInvalidTxn;
+      },
+      order, comp);
+  Relation reach(n);
+  for (std::size_t begin = 0; begin < n;) {
+    const TxnId rep = order[begin];
+    std::size_t end = begin + 1;
+    while (end < n && comp[order[end]] == comp[rep]) ++end;
+    bool cyclic = false;
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const TxnId v : adj[order[i]]) {
+        if (comp[v] == comp[rep]) {
+          cyclic = true;
+          continue;
+        }
+        reach.add(rep, v);
+        reach.absorb_row(rep, v);
+      }
+    }
+    if (cyclic) {
+      for (std::size_t i = begin; i < end; ++i) reach.add(rep, order[i]);
+    }
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      reach.absorb_row(order[i], rep);
+    }
+    begin = end;
+  }
+  return reach;
+}
+
+/// The Theorem 21 kernel behind first_psi_violation and
+/// psi_relation_irreflexive. With \p witness false it stops at the first
+/// violating SCC and leaves the path empty; the verdict is the same.
+std::optional<PsiViolation> psi_scan(const Relation& so, const Relation& wr,
+                                     const Relation& ww, const Relation& rw,
+                                     bool witness) {
+  const std::size_t n = so.size();
+  const std::size_t words = (n + 63) / 64;
+  std::vector<TxnId> order;
+  std::vector<std::uint32_t> comp;
+  tarjan_sccs<RowCursor>(
+      n,
+      [&](TxnId u, RowCursor& c) {
+        const std::uint64_t* so_row = so.row_words(u).data();
+        const std::uint64_t* wr_row = wr.row_words(u).data();
+        const std::uint64_t* ww_row = ww.row_words(u).data();
+        const std::uint64_t* rw_row = rw.row_words(u).data();
+        while (c.pending == 0) {
+          if (c.word == words) return kInvalidTxn;
+          c.pending = so_row[c.word] | wr_row[c.word] | ww_row[c.word] |
+                      rw_row[c.word];
+          ++c.word;
+        }
+        const auto v = static_cast<TxnId>(
+            (c.word - 1) * 64 +
+            static_cast<std::size_t>(std::countr_zero(c.pending)));
+        c.pending &= c.pending - 1;
+        return v;
+      },
+      order, comp);
+
+  std::optional<PsiViolation> best;
+  std::vector<TxnId> members;
+  std::vector<TxnId> local;  // each member's number in C, once one is needed
+  Adjacency d_on_c;
+  std::vector<std::pair<TxnId, TxnId>> rw_on_c;
+  for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+    const std::uint32_t c = comp[order[begin]];
+    end = begin + 1;
+    while (end < n && comp[order[end]] == c) ++end;
+    const TxnId first = order[begin];
+    if (end - begin == 1 && !so.contains(first, first) &&
+        !wr.contains(first, first) && !ww.contains(first, first)) {
+      continue;  // one node and no D self-loop: on no cycle
+    }
+    members.assign(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                   order.begin() + static_cast<std::ptrdiff_t>(end));
+    std::sort(members.begin(), members.end());
+    if (best && members.front() >= best->t) continue;
+
+    // C's members numbered in ascending id order; D restricted to C as
+    // successor lists, RW restricted to C as pairs (w, t) in ascending
+    // order.
+    const std::size_t k = members.size();
+    local.resize(n);
+    for (std::size_t i = 0; i < k; ++i) {
+      local[members[i]] = static_cast<TxnId>(i);
+    }
+    d_on_c.from.reserve(k + 1);
+    d_on_c.from.assign(1, 0);
+    d_on_c.to.clear();
+    rw_on_c.clear();
+    for (TxnId i = 0; i < k; ++i) {
+      const TxnId u = members[i];
+      const std::uint64_t* so_row = so.row_words(u).data();
+      const std::uint64_t* wr_row = wr.row_words(u).data();
+      const std::uint64_t* ww_row = ww.row_words(u).data();
+      const std::uint64_t* rw_row = rw.row_words(u).data();
+      for (std::size_t j = 0; j < words; ++j) {
+        const std::uint64_t d = so_row[j] | wr_row[j] | ww_row[j];
+        for (std::uint64_t word = d | rw_row[j]; word != 0; word &= word - 1) {
+          const int bit = std::countr_zero(word);
+          const auto v =
+              static_cast<TxnId>(j * 64 + static_cast<std::size_t>(bit));
+          if (comp[v] != c) continue;
+          if (((d >> bit) & 1) != 0) d_on_c.to.push_back(local[v]);
+          if (((rw_row[j] >> bit) & 1) != 0) rw_on_c.emplace_back(i, local[v]);
+        }
+      }
+      d_on_c.from.push_back(static_cast<std::uint32_t>(d_on_c.to.size()));
+    }
+
+    // The smallest t of C with D+(t, t), or with RW(w, t) and D+(t, w).
+    const Relation dplus = reach_closure(d_on_c);
+    auto t = static_cast<TxnId>(k);
+    for (TxnId i = 0; i < k; ++i) {
+      if (dplus.contains(i, i)) {
+        t = i;
+        break;
+      }
+    }
+    for (const auto& [w, v] : rw_on_c) {
+      if (v < t && dplus.contains(v, w)) t = v;
+    }
+    if (t == k || (best && members[t] >= best->t)) continue;
+    best = PsiViolation{members[t], {}};
+    if (!witness) return best;
+    TxnId to = t;
+    if (!dplus.contains(t, t)) {
+      to = static_cast<TxnId>(k);
+      for (const auto& [w, v] : rw_on_c) {
+        if (v == t && w < to && dplus.contains(t, w)) to = w;
+      }
+    }
+    // Relation::find_path's BFS on C alone finds the whole graph's path.
+    Relation d(k);
+    for (TxnId i = 0; i < k; ++i) {
+      for (const TxnId j : d_on_c[i]) d.add(i, j);
+    }
+    const std::optional<std::vector<TxnId>> path = d.find_path(t, to);
+    for (const TxnId x : *path) best->path.push_back(members[x]);
+  }
+  return best;
 }
 
 }  // namespace
@@ -309,9 +501,8 @@ void tarjan_sccs(const std::vector<std::vector<TxnId>>& adj,
 bool composed_si_relation_acyclic(const Relation& so, const Relation& wr,
                                   const Relation& ww, const Relation& rw) {
   const std::size_t n = so.size();
-  const std::vector<std::vector<TxnId>> d_adj = merged_d_adjacency(so, wr, ww);
-  std::vector<std::vector<TxnId>> rw_adj(n);
-  for (TxnId u = 0; u < n; ++u) rw_adj[u] = rw.successors(u);
+  const Adjacency d_adj = merged_adjacency(so, wr, ww);
+  const Adjacency rw_adj = merged_adjacency(rw);
 
   // Layered graph: real node u < n, shadow node û = n + u. u → ŵ for each
   // D(u, w); ŵ → w (a plain D step of C) and ŵ → v for each RW(w, v) (a
@@ -354,68 +545,16 @@ bool composed_si_relation_acyclic(const Relation& so, const Relation& wr,
   return true;
 }
 
-Relation dependency_closure(const Relation& so, const Relation& wr,
-                            const Relation& ww) {
-  const std::size_t n = so.size();
-  const std::vector<std::vector<TxnId>> d_adj = merged_d_adjacency(so, wr, ww);
-  std::vector<TxnId> order;
-  std::vector<std::uint32_t> comp;
-  tarjan_sccs(d_adj, order, comp);
-
-  // SCCs sinks-first: reach(C) = ⋃ over D edges (u, v) leaving C of
-  // ({v} ∪ reach(v)), plus C itself when an edge stays inside C. The row
-  // is built on one member and copied to the others. On a D-DAG every SCC
-  // is one node and this is one row union per D edge.
-  Relation reach(n);
-  for (std::size_t begin = 0; begin < n;) {
-    const TxnId rep = order[begin];
-    std::size_t end = begin + 1;
-    while (end < n && comp[order[end]] == comp[rep]) ++end;
-    bool cyclic = false;
-    for (std::size_t i = begin; i < end; ++i) {
-      for (const TxnId v : d_adj[order[i]]) {
-        if (comp[v] == comp[rep]) {
-          cyclic = true;
-          continue;
-        }
-        reach.add(rep, v);
-        reach.absorb_row(rep, v);
-      }
-    }
-    if (cyclic) {
-      for (std::size_t i = begin; i < end; ++i) reach.add(rep, order[i]);
-    }
-    for (std::size_t i = begin + 1; i < end; ++i) {
-      reach.absorb_row(order[i], rep);
-    }
-    begin = end;
-  }
-  return reach;
+std::optional<PsiViolation> first_psi_violation(const Relation& so,
+                                                const Relation& wr,
+                                                const Relation& ww,
+                                                const Relation& rw) {
+  return psi_scan(so, wr, ww, rw, /*witness=*/true);
 }
 
-std::optional<TxnId> first_dplus_rw_reflexive(const Relation& dplus,
-                                              const Relation& rw) {
-  const std::size_t n = dplus.size();
-  TxnId first = static_cast<TxnId>(n);
-  for (TxnId t = 0; t < n; ++t) {
-    if (dplus.contains(t, t)) {
-      first = t;
-      break;
-    }
-  }
-  // A diagonal entry of D+ ; RW is an RW edge (w, t) with D+(t, w).
-  for (TxnId w = 0; w < n; ++w) {
-    rw.for_successors(w, [&](TxnId t) {
-      if (t < first && dplus.contains(t, w)) first = t;
-    });
-  }
-  if (first == n) return std::nullopt;
-  return first;
-}
-
-bool dplus_rw_irreflexive(const Relation& so, const Relation& wr,
-                          const Relation& ww, const Relation& rw) {
-  return !first_dplus_rw_reflexive(dependency_closure(so, wr, ww), rw);
+bool psi_relation_irreflexive(const Relation& so, const Relation& wr,
+                              const Relation& ww, const Relation& rw) {
+  return !psi_scan(so, wr, ww, rw, /*witness=*/false);
 }
 
 }  // namespace sia

@@ -163,26 +163,51 @@ EnumerationStats enumerate_simple_cycles(
                                                 const Relation& ww,
                                                 const Relation& rw);
 
-/// D+ for D = SO ∪ WR ∪ WW, without Warshall: Tarjan's SCC condensation
-/// of D, then successor rows propagated through the SCCs in reverse
-/// topological order — one row union per D edge, O(E · n/64) instead of
-/// O(n³/64). Every member of a cyclic SCC (more than one node, or a
-/// self-loop) reaches every member of its SCC, itself included.
-[[nodiscard]] Relation dependency_closure(const Relation& so,
-                                          const Relation& wr,
-                                          const Relation& ww);
+/// Where D+ ; RW? is reflexive (Theorem 21), at its smallest t.
+struct PsiViolation {
+  /// Smallest t with (D+ ; RW?)(t, t): D+(t, t), or RW(w, t) for some w
+  /// with D+(t, w).
+  TxnId t{kInvalidTxn};
+  /// A shortest D path from t: back to t if D+(t, t), otherwise to the
+  /// smallest w with D+(t, w) ∧ RW(w, t), and then RW(w, t) closes the
+  /// cycle. Relation::find_path's BFS over D — successors ascending, so
+  /// the same path.
+  std::vector<TxnId> path;
 
-/// Smallest t with (D+ ; RW?)(t, t) — D+(t, t), or RW(w, t) for some w
-/// with D+(t, w) — given \p dplus = D+; nullopt iff D+ ; RW? is
-/// irreflexive. O(n + |RW|) probes.
-[[nodiscard]] std::optional<TxnId> first_dplus_rw_reflexive(
-    const Relation& dplus, const Relation& rw);
+  friend bool operator==(const PsiViolation&, const PsiViolation&) = default;
+};
 
-/// True iff D+ ; RW? is irreflexive (Theorem 21):
-/// first_dplus_rw_reflexive over dependency_closure.
-[[nodiscard]] bool dplus_rw_irreflexive(const Relation& so,
-                                        const Relation& wr,
-                                        const Relation& ww,
-                                        const Relation& rw);
+/// The Theorem 21 kernel: nullopt iff D+ ; RW? is irreflexive, for
+/// D = SO ∪ WR ∪ WW; otherwise the violation at the smallest t.
+///
+/// Decided inside the SCCs of D ∪ RW, never over an n×n D+. A reflexive
+/// pair is a cycle t ⇝ t of D, or t ⇝ w →RW t; either way t, w and every
+/// node of the D path lie in one SCC C of D ∪ RW. So one iterative Tarjan
+/// over D ∪ RW finds the SCCs; in each nontrivial one (more than one node,
+/// or a D self-loop) D restricted to C is closed over |C|-bit rows — a
+/// Tarjan condensation of D on C, rows propagated sinks-first — and C's
+/// members are scanned in ascending id. The smallest t over all SCCs wins,
+/// not the first SCC to have one. The Tarjan over D ∪ RW reads successors
+/// from the four rows word by word and lists none; D and RW on C are
+/// listed from the rows of C's members.
+/// The path is a BFS that visits C only. That is the unrestricted BFS's
+/// path: a node that t reaches outside C reaches no node of C (it would
+/// be in C), so it is neither on a path between two nodes of C nor the
+/// BFS parent of one.
+///
+/// Cost: O(n²/64 + |D ∪ RW|) for the SCCs, plus O(|C| · n/64) to list
+/// C and O(|C| · |D ∩ C²| / 64) to close it, per nontrivial SCC C. When
+/// D ∪ RW is one SCC — the worst case — that is what closing D over the
+/// whole graph costs, plus one more pass over the rows.
+[[nodiscard]] std::optional<PsiViolation> first_psi_violation(
+    const Relation& so, const Relation& wr, const Relation& ww,
+    const Relation& rw);
+
+/// True iff D+ ; RW? is irreflexive (Theorem 21): first_psi_violation's
+/// verdict, returned at the first violating SCC with no path searched.
+[[nodiscard]] bool psi_relation_irreflexive(const Relation& so,
+                                            const Relation& wr,
+                                            const Relation& ww,
+                                            const Relation& rw);
 
 }  // namespace sia

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "graph/characterization.hpp"
+#include "graph/cycles.hpp"
 
 /// \file reference_checkers.hpp
 /// Dense oracles for the Theorem 8, 9 and 21 checks: they materialise the
@@ -12,6 +14,10 @@
 /// with them and must match their verdicts and witnesses bit for bit.
 /// Used by the differential tests and as the "old" side of
 /// bench_theorem9_checker.
+///
+/// The Theorem 21 kernel first_psi_violation (cycles.hpp) has a second
+/// oracle below: the whole-graph D+ it replaced, built by SCC condensation
+/// with private copies of its adjacency and Tarjan helpers.
 
 namespace sia {
 
@@ -34,5 +40,35 @@ namespace sia {
 [[nodiscard]] std::vector<DepEdge> expand_composed_cycle(
     const DependencyGraph& g, const DepRelations& rel,
     const std::vector<TxnId>& cycle, bool through_dplus);
+
+/// D+ for D = SO ∪ WR ∪ WW, without Warshall: Tarjan's SCC condensation
+/// of D, then successor rows propagated through the SCCs in reverse
+/// topological order — one row union per D edge, O(E · n/64). Every
+/// member of a cyclic SCC (more than one node, or a self-loop) reaches
+/// every member of its SCC, itself included.
+[[nodiscard]] Relation dependency_closure(const Relation& so,
+                                          const Relation& wr,
+                                          const Relation& ww);
+
+/// Smallest t with (D+ ; RW?)(t, t) — D+(t, t), or RW(w, t) for some w
+/// with D+(t, w) — given \p dplus = D+; nullopt iff D+ ; RW? is
+/// irreflexive. O(n + |RW|) probes.
+[[nodiscard]] std::optional<TxnId> first_dplus_rw_reflexive(
+    const Relation& dplus, const Relation& rw);
+
+/// True iff D+ ; RW? is irreflexive (Theorem 21):
+/// first_dplus_rw_reflexive over dependency_closure.
+[[nodiscard]] bool dplus_rw_irreflexive(const Relation& so,
+                                        const Relation& wr,
+                                        const Relation& ww,
+                                        const Relation& rw);
+
+/// first_psi_violation over the whole-graph D+: t from
+/// first_dplus_rw_reflexive over dependency_closure, the smallest w with
+/// D+(t, w) ∧ RW(w, t) read off D+'s row of t, and the path from
+/// Relation::find_path over the materialised D.
+[[nodiscard]] std::optional<PsiViolation> first_psi_violation_reference(
+    const Relation& so, const Relation& wr, const Relation& ww,
+    const Relation& rw);
 
 }  // namespace sia
